@@ -36,8 +36,9 @@ pub fn check_program(program: &Program, opts: &AnalysisOptions) -> Vec<Diagnosti
 }
 
 /// The worker count to use for `requested` (0 = all cores) over `work_items`
-/// definitions. Always 1 when the `parallel` feature is off.
-pub(crate) fn effective_jobs(requested: usize, work_items: usize) -> usize {
+/// independent work items (definitions here, roots in `lclint_core`'s
+/// front end). Always 1 when the `parallel` feature is off.
+pub fn effective_jobs(requested: usize, work_items: usize) -> usize {
     if !cfg!(feature = "parallel") {
         return 1;
     }

@@ -619,13 +619,15 @@ pub fn library_speedup(target_loc: usize) -> (f64, f64) {
     let p = generate(&GenConfig::with_target_loc(target_loc));
     let client =
         "void client(void)\n{\n  m0_list l = m0_create();\n  m0_push(l, 1);\n  m0_final(l);\n}\n";
-    // Full-source check.
+    // Full-source check: the client's translation unit includes the
+    // module's source, so it sees the module's typedefs as C requires.
     let linter = Linter::new(Flags::default());
-    let files =
-        vec![("mod.c".to_owned(), p.source.clone()), ("client.c".to_owned(), client.to_owned())];
+    let files = vec![
+        ("mod.c".to_owned(), p.source.clone()),
+        ("client.c".to_owned(), format!("#include \"mod.c\"\n{client}")),
+    ];
     let start = Instant::now();
-    let r =
-        linter.check_files(&files, &["mod.c".to_owned(), "client.c".to_owned()]).expect("parses");
+    let r = linter.check_files(&files, &["client.c".to_owned()]).expect("parses");
     assert!(r.is_clean(), "{}", r.render());
     let full_ms = start.elapsed().as_secs_f64() * 1000.0;
     // Library check: the module is summarized once; only the client is
@@ -662,9 +664,9 @@ pub struct ResilienceReport {
     pub retained_diags: usize,
     /// `retained_diags / expected_diags`, percent.
     pub retention_pct: f64,
-    /// Best-of-N strict parse of the clean base program, milliseconds.
+    /// Median strict parse of the clean base program, milliseconds.
     pub strict_parse_ms: f64,
-    /// Best-of-N recovering parse of the same clean program, milliseconds.
+    /// Median recovering parse of the same clean program, milliseconds.
     pub recovering_parse_ms: f64,
     /// Relative cost of error recovery on error-free input, percent.
     pub recovery_overhead_pct: f64,
@@ -759,20 +761,35 @@ pub fn resilience_table(target_loc: usize, mutants: usize, seed: u64) -> Resilie
         report.retention_pct = 100.0 * report.retained_diags as f64 / report.expected_diags as f64;
     }
 
-    // Recovery overhead on clean input: best-of-5, interleaved, parse only.
-    let mut strict = f64::INFINITY;
-    let mut recovering = f64::INFINITY;
-    for _ in 0..5 {
-        let t = Instant::now();
-        let _ = lclint_syntax::parse_translation_unit("gen.c", &base.source).expect("parses");
-        strict = strict.min(t.elapsed().as_secs_f64() * 1000.0);
-        let t = Instant::now();
-        let (_, _, _, errors) =
-            lclint_syntax::parse_translation_unit_recovering("gen.c", &base.source)
-                .expect("parses");
-        assert!(errors.is_empty(), "clean input must recover no errors");
-        recovering = recovering.min(t.elapsed().as_secs_f64() * 1000.0);
+    // Recovery overhead on clean input: the medians of 81 interleaved
+    // samples per parse, front end only. The two parses differ by a few
+    // branches per item, so the true gap is near zero and the figure is
+    // host noise. Rounds alternate which parse goes first, and medians
+    // (unlike minima, which one lucky sample decides) stay within a few
+    // percent of each other even while other work shares the cores.
+    let mut strict = Vec::new();
+    let mut recovering = Vec::new();
+    for round in 0..81 {
+        for recover in [round % 2 == 0, round % 2 != 0] {
+            let t = Instant::now();
+            if recover {
+                let (_, _, _, errors) =
+                    lclint_syntax::parse_translation_unit_recovering("gen.c", &base.source)
+                        .expect("parses");
+                assert!(errors.is_empty(), "clean input must recover no errors");
+                recovering.push(t.elapsed().as_secs_f64() * 1000.0);
+            } else {
+                let _ =
+                    lclint_syntax::parse_translation_unit("gen.c", &base.source).expect("parses");
+                strict.push(t.elapsed().as_secs_f64() * 1000.0);
+            }
+        }
     }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        percentile(&v, 0.5)
+    };
+    let (strict, recovering) = (median(strict), median(recovering));
     report.strict_parse_ms = strict;
     report.recovering_parse_ms = recovering;
     report.recovery_overhead_pct = 100.0 * (recovering - strict) / strict.max(1e-9);

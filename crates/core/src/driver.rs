@@ -10,15 +10,19 @@ use crate::render::RenderedDiagnostic;
 use crate::stdlib::STDLIB_SOURCE;
 use crate::suppress::SuppressionSet;
 use lclint_analysis::cache::{check_program_cached, options_digest, CacheStats};
-use lclint_analysis::{check_program, infer_annotations, DiagKind, Diagnostic};
+use lclint_analysis::{check_program, effective_jobs, infer_annotations, DiagKind, Diagnostic};
 use lclint_sema::Program;
+use lclint_syntax::fx::FxHashMap;
 use lclint_syntax::lexer::ControlComment;
-use lclint_syntax::pp::{preprocess, MemoryProvider};
-use lclint_syntax::span::{SourceMap, Span};
+use lclint_syntax::parser::PARSE_STACK;
+use lclint_syntax::pp::{preprocess, FileProvider, MemoryProvider};
+use lclint_syntax::span::{FileId, SourceMap, Span};
 use lclint_syntax::stable_hash::StableHasher;
 use lclint_syntax::{Parser, Result, Symbol, SyntaxError, TranslationUnit};
+use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 
 /// The preprocessed+parsed annotated standard library, computed once per
 /// process. `source_map` holds exactly the stdlib's file entries; a check
@@ -95,7 +99,7 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// the per-unit syntax needed for rendering and annotation write-back.
 ///
 /// The per-root records (`root_file_plans`, `root_controls`,
-/// `root_syntax_diags`, `typedef_prefix`, `def_counts`) exist for the
+/// `root_syntax_diags`, `base_typedefs`, `def_counts`) exist for the
 /// incremental [`Session`](crate::session::Session): they let a warm
 /// session re-derive exactly one root's contribution and splice it into
 /// the built program instead of rebuilding everything.
@@ -132,10 +136,9 @@ pub(crate) struct BuiltProgram {
     pub(crate) pre_root_diags: Vec<Diagnostic>,
     /// Recovered parse / preprocess diagnostics per root.
     pub(crate) root_syntax_diags: Vec<Vec<Diagnostic>>,
-    /// Typedef names accumulated across units, in registration order.
-    pub(crate) typedefs: Vec<Symbol>,
-    /// Length of `typedefs` before each root's unit was parsed.
-    pub(crate) typedef_prefix: Vec<usize>,
+    /// Typedef names every root's parse starts from: the stdlib's and the
+    /// interface libraries'.
+    pub(crate) base_typedefs: Vec<Symbol>,
     /// `program.defs.len()` marks: `def_counts[0]` after the stdlib,
     /// `def_counts[k + 1]` after `units[k]` — so unit `k` contributed the
     /// definitions `def_counts[k]..def_counts[k + 1]`.
@@ -309,38 +312,25 @@ impl Linter {
 
     /// Preprocesses and parses everything (stdlib, libraries, roots) and
     /// builds the resolved program. Shared by checking, inference, and the
-    /// incremental session.
+    /// incremental session. `jobs` (0 = all cores) is the worker count for
+    /// the roots' front end, as it is for checking.
     pub(crate) fn build_program(
         &self,
         files: &[(String, String)],
         roots: &[String],
+        jobs: usize,
     ) -> Result<BuiltProgram> {
-        let mut provider = MemoryProvider::new();
-        for (n, t) in files {
-            provider.insert(n.clone(), t.clone());
-        }
+        let provider: FxHashMap<&str, &str> =
+            files.iter().map(|(name, text)| (name.as_str(), text.as_str())).collect();
         let mut sm = SourceMap::new();
         let mut units: Vec<TranslationUnit> = Vec::new();
         let mut pre_root_diags: Vec<Diagnostic> = Vec::new();
-        let mut root_file_plans: Vec<Vec<lclint_syntax::FileId>> = Vec::new();
-        let mut root_controls: Vec<Vec<ControlComment>> = Vec::new();
-        let mut root_syntax_diags: Vec<Vec<Diagnostic>> = Vec::new();
-        let mut typedef_prefix: Vec<usize> = Vec::new();
-        // Typedef names accumulate across units so that interface libraries
-        // (which carry type definitions like LCLint's .lcs files) make their
-        // types usable in later translation units.
+        // Typedef names accumulate across the stdlib and the interface
+        // libraries (which carry type definitions like LCLint's .lcs files),
+        // and every root starts from that set: a root is its own C
+        // translation unit and sees no other root's typedefs.
         let mut typedefs: Vec<Symbol> = Vec::new();
         let parse_start = std::time::Instant::now();
-
-        let parse_unit = |tokens, typedefs: &mut Vec<Symbol>| -> Result<TranslationUnit> {
-            let mut parser = Parser::new(tokens);
-            for t in typedefs.iter() {
-                parser.add_typedef(t.as_str());
-            }
-            let tu = parser.parse_translation_unit()?;
-            typedefs.extend(collect_typedef_names(&tu));
-            Ok(tu)
-        };
 
         // The standard library is itself just an annotated source file. Its
         // parse never changes, so every run after the first reuses the
@@ -373,50 +363,24 @@ impl Linter {
         // Interface libraries are trusted configuration, not checked input:
         // a broken library stays a hard error.
         for (name, text) in &self.libraries {
-            let mut p = MemoryProvider::new();
-            p.insert(name.clone(), text.clone());
-            let out = preprocess(name, &p, &mut sm)?;
-            units.push(parse_unit(out.tokens, &mut typedefs)?);
+            let out = preprocess(name, &HashMap::from([(name.as_str(), text.as_str())]), &mut sm)?;
+            let mut parser = Parser::new(out.tokens);
+            for t in &typedefs {
+                parser.add_typedef(t.as_str());
+            }
+            let tu = parser.parse_translation_unit()?;
+            typedefs.extend(collect_typedef_names(&tu));
+            units.push(tu);
         }
         let root_start = units.len();
-        for root in roots {
-            typedef_prefix.push(typedefs.len());
-            let mut root_diags: Vec<Diagnostic> = Vec::new();
-            let files_before = sm.len();
-            match preprocess(root, &provider, &mut sm) {
-                Ok(out) => {
-                    root_controls.push(out.controls);
-                    let mut parser = Parser::new(out.tokens);
-                    for t in typedefs.iter() {
-                        parser.add_typedef(t.as_str());
-                    }
-                    let (tu, errors) = parser.parse_translation_unit_recovering();
-                    typedefs.extend(collect_typedef_names(&tu));
-                    for e in errors {
-                        root_diags.push(Diagnostic::new(
-                            DiagKind::SyntaxError,
-                            format!("Parse error: {}", e.message),
-                            e.span,
-                        ));
-                    }
-                    units.push(tu);
-                }
-                Err(e) => {
-                    // Lexing or preprocessing failed — nothing survives from
-                    // this root. Report it and keep the batch alive with an
-                    // empty unit so the other roots are still checked.
-                    root_controls.push(Vec::new());
-                    root_diags.push(Diagnostic::new(
-                        DiagKind::SyntaxError,
-                        format!("Parse error: {}", e.message),
-                        e.span,
-                    ));
-                    units.push(TranslationUnit::default());
-                }
-            }
-            root_syntax_diags.push(root_diags);
-            root_file_plans
-                .push((files_before..sm.len()).map(|i| lclint_syntax::FileId(i as u32)).collect());
+        let mut root_file_plans = Vec::with_capacity(roots.len());
+        let mut root_controls = Vec::with_capacity(roots.len());
+        let mut root_syntax_diags = Vec::with_capacity(roots.len());
+        for front in front_end_roots(&provider, roots, &typedefs, &mut sm, jobs) {
+            units.push(front.unit);
+            root_controls.push(front.controls);
+            root_syntax_diags.push(front.diags);
+            root_file_plans.push(front.files);
         }
         let parse_ms = parse_start.elapsed().as_secs_f64() * 1000.0;
 
@@ -461,8 +425,7 @@ impl Linter {
             root_controls,
             pre_root_diags,
             root_syntax_diags,
-            typedefs,
-            typedef_prefix,
+            base_typedefs: typedefs,
             def_counts,
         })
     }
@@ -484,7 +447,7 @@ impl Linter {
     ) -> Result<CheckResult> {
         let BuiltProgram {
             program, sm, controls, syntax_diags, parse_ms, sema_ms, substrate, ..
-        } = self.build_program(files, roots)?;
+        } = self.build_program(files, roots, self.flags.analysis.jobs)?;
         let sema_errors: Vec<String> = program
             .errors
             .iter()
@@ -565,7 +528,7 @@ impl Linter {
         files: &[(String, String)],
         roots: &[String],
     ) -> Result<InferOutcome> {
-        let built = self.build_program(files, roots)?;
+        let built = self.build_program(files, roots, self.flags.analysis.jobs)?;
         let sema_errors: Vec<String> = built
             .program
             .errors
@@ -594,6 +557,157 @@ impl Linter {
     }
 }
 
+/// One root's front-end output, with every file id in the run's map.
+struct RootFront {
+    unit: TranslationUnit,
+    controls: Vec<ControlComment>,
+    /// Recovered parse errors, or the lex/preprocess error that emptied
+    /// the unit.
+    diags: Vec<Diagnostic>,
+    /// The files the root registered, in registration order.
+    files: Vec<FileId>,
+}
+
+/// Preprocesses and parses one root as its own translation unit.
+///
+/// The root is preprocessed into a root-local source map, which `register`
+/// places into the run's map, returning the base its ids move up by. Every
+/// span produced so far (tokens, control comments, a preprocess error) is
+/// rebased onto that base before parsing, so the unit, its diagnostics and
+/// its file plan come out exactly as if the root had registered its files
+/// into the run's map directly. The parser knows `typedefs` plus whatever
+/// the root itself declares. Runs the parse on the calling thread, which
+/// must have a [`PARSE_STACK`]-sized stack.
+fn front_end_root(
+    root: &str,
+    provider: &dyn FileProvider,
+    typedefs: &[Symbol],
+    register: impl FnOnce(SourceMap) -> u32,
+) -> RootFront {
+    let mut local = SourceMap::new();
+    let pp = preprocess(root, provider, &mut local);
+    let count = local.len() as u32;
+    let base = register(local);
+    let files = (base..base + count).map(FileId).collect();
+    let syntax_error = |e: SyntaxError| {
+        Diagnostic::new(DiagKind::SyntaxError, format!("Parse error: {}", e.message), e.span)
+    };
+    match pp {
+        Ok(mut out) => {
+            for t in &mut out.tokens {
+                t.span = t.span.rebased(base);
+            }
+            for c in &mut out.controls {
+                c.span = c.span.rebased(base);
+            }
+            let mut parser = Parser::new(out.tokens);
+            for t in typedefs {
+                parser.add_typedef(t.as_str());
+            }
+            let (unit, errors) = parser.parse_translation_unit_recovering_inline();
+            let diags = errors.into_iter().map(syntax_error).collect();
+            RootFront { unit, controls: out.controls, diags, files }
+        }
+        Err(mut e) => {
+            // Lexing or preprocessing failed — nothing survives from this
+            // root. Report it and keep the batch alive with an empty unit
+            // so the other roots are still checked.
+            e.span = e.span.rebased(base);
+            RootFront {
+                unit: TranslationUnit::default(),
+                controls: Vec::new(),
+                diags: vec![syntax_error(e)],
+                files,
+            }
+        }
+    }
+}
+
+/// Runs [`front_end_root`] for every root on up to `jobs` workers (0 = all
+/// cores) and returns the results in root order.
+///
+/// Workers claim roots from a counter and preprocess and parse them
+/// concurrently; only the registration into `sm` is serialized, in strict
+/// root order, so every file id equals the one a one-root-at-a-time run
+/// assigns. One job is one worker: a single [`PARSE_STACK`] thread parses
+/// every root.
+fn front_end_roots(
+    provider: &(dyn FileProvider + Sync),
+    roots: &[String],
+    typedefs: &[Symbol],
+    sm: &mut SourceMap,
+    jobs: usize,
+) -> Vec<RootFront> {
+    // No roots, no workers.
+    let jobs = effective_jobs(jobs, roots.len()).min(roots.len());
+    // `(next root to register, the run's map)`: root `i` waits until
+    // `next == i`, appends its map and wakes the others.
+    let turn = Mutex::new((0usize, std::mem::take(sm)));
+    let turn_changed = Condvar::new();
+    let register = |i: usize, local: SourceMap| -> u32 {
+        let mut t = turn.lock().unwrap_or_else(PoisonError::into_inner);
+        while t.0 != i {
+            t = turn_changed.wait(t).unwrap_or_else(PoisonError::into_inner);
+        }
+        let base = t.1.append(local);
+        t.0 += 1;
+        turn_changed.notify_all();
+        base
+    };
+    let next = AtomicUsize::new(0);
+    type Outcome = std::thread::Result<RootFront>;
+    let per_worker: Vec<Vec<(usize, Outcome)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..jobs)
+            .map(|_| {
+                let (next, register) = (&next, &register);
+                std::thread::Builder::new()
+                    .name("lclint-front".to_owned())
+                    .stack_size(PARSE_STACK)
+                    .spawn_scoped(s, move || {
+                        let mut out = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(root) = roots.get(i) else { break };
+                            // A panic must not strand the roots after this
+                            // one at their registration turn: catch it,
+                            // take the turn if it was not taken, and
+                            // re-raise it after the join.
+                            let mut registered = false;
+                            let front = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                                let register = |local| {
+                                    registered = true;
+                                    register(i, local)
+                                };
+                                front_end_root(root, provider, typedefs, register)
+                            }));
+                            if front.is_err() && !registered {
+                                register(i, SourceMap::new());
+                            }
+                            out.push((i, front));
+                        }
+                        out
+                    })
+                    .expect("spawn front-end worker")
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("front-end worker panicked")).collect()
+    });
+    *sm = turn.into_inner().unwrap_or_else(PoisonError::into_inner).1;
+    let mut slots: Vec<Option<Outcome>> = roots.iter().map(|_| None).collect();
+    for (i, front) in per_worker.into_iter().flatten() {
+        slots[i] = Some(front);
+    }
+    slots
+        .into_iter()
+        .map(|front| match front.expect("every root claimed") {
+            Ok(front) => front,
+            // The first panicking root's payload, as a one-at-a-time run
+            // would have raised it.
+            Err(payload) => std::panic::resume_unwind(payload),
+        })
+        .collect()
+}
+
 /// Names introduced by `typedef` declarations in a unit.
 fn collect_typedef_names(tu: &TranslationUnit) -> Vec<Symbol> {
     use lclint_syntax::ast::{Item, StorageClass};
@@ -616,6 +730,57 @@ fn collect_typedef_names(tu: &TranslationUnit) -> Vec<Symbol> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serves `int <root>_v;` for every root and panics when asked for one
+    /// of the `bad` names.
+    struct PanicsOn(Vec<String>);
+
+    impl FileProvider for PanicsOn {
+        fn read_file(&self, name: &str) -> Option<String> {
+            if self.0.iter().any(|bad| bad == name) {
+                panic!("reading {name}");
+            }
+            Some(format!("int {}_v;\n", name.trim_end_matches(".c")))
+        }
+    }
+
+    #[test]
+    fn a_panicking_root_reraises_its_payload_instead_of_stranding_later_roots() {
+        let roots: Vec<String> = (0..4).map(|i| format!("r{i}.c")).collect();
+        // The bad roots, then the one whose payload must surface: the
+        // first in root order, as a one-at-a-time run would raise it.
+        let cases: [(&[usize], usize); 4] = [(&[0], 0), (&[1], 1), (&[3], 3), (&[2, 0], 0)];
+        for jobs in [1, 2, 3] {
+            for (bad, first) in cases {
+                let provider = PanicsOn(bad.iter().map(|&i| roots[i].clone()).collect());
+                let roots = roots.clone();
+                let (tx, rx) = std::sync::mpsc::channel();
+                // A watchdog: the call runs on its own thread, so a worker
+                // stranded at its registration turn shows up as a timeout
+                // instead of a hung test.
+                std::thread::spawn(move || {
+                    let mut sm = SourceMap::new();
+                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        front_end_roots(&provider, &roots, &[], &mut sm, jobs)
+                    }));
+                    let payload = outcome.err().map(|p| {
+                        p.downcast_ref::<String>()
+                            .cloned()
+                            .unwrap_or_else(|| "<not a String>".into())
+                    });
+                    let _ = tx.send(payload);
+                });
+                let payload = rx
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("jobs {jobs}, bad {bad:?}: front end hung"));
+                assert_eq!(
+                    payload.as_deref(),
+                    Some(format!("reading r{first}.c").as_str()),
+                    "jobs {jobs}, bad {bad:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn infer_source_recovers_only_return_and_renders_diff() {

@@ -29,9 +29,9 @@ use lclint_analysis::cache::{check_program_cached_slots, options_digest, CacheSt
 use lclint_analysis::{AnalysisOptions, Diagnostic};
 use lclint_sema::Program;
 use lclint_syntax::ast::{Item, TranslationUnit};
-use lclint_syntax::fx::FxHashSet;
+use lclint_syntax::fx::{FxHashMap, FxHashSet};
 use lclint_syntax::lexer::ControlComment;
-use lclint_syntax::pp::{preprocess, MemoryProvider};
+use lclint_syntax::pp::preprocess;
 use lclint_syntax::span::{FileId, SourceMap, Span};
 use lclint_syntax::{pretty_print_declaration, pretty_print_function, Parser, Result, Symbol};
 use std::io;
@@ -50,8 +50,8 @@ struct State {
     root_controls: Vec<Vec<ControlComment>>,
     pre_root_diags: Vec<Diagnostic>,
     root_syntax_diags: Vec<Vec<Diagnostic>>,
-    typedefs: Vec<Symbol>,
-    typedef_prefix: Vec<usize>,
+    /// Typedef names every root's parse starts from (stdlib and libraries).
+    base_typedefs: Vec<Symbol>,
     stdlib_arena: lclint_syntax::ast::ArenaStats,
     /// Per-definition diagnostics from the last check, in definition order.
     def_diags: Vec<Vec<Diagnostic>>,
@@ -371,8 +371,8 @@ impl Session {
     /// back here whenever a precondition fails.
     fn rebuild(&mut self, jobs: Option<usize>) -> Result<()> {
         self.rebuilds += 1;
-        let bp: BuiltProgram = self.linter.build_program(&self.files, &self.roots)?;
         let opts = self.opts(jobs);
+        let bp: BuiltProgram = self.linter.build_program(&self.files, &self.roots, opts.jobs)?;
         let od = options_digest(&opts);
         let lib = self.linter.library_digest();
         self.inc.prepare(od, lib);
@@ -402,8 +402,7 @@ impl Session {
             root_controls: bp.root_controls,
             pre_root_diags: bp.pre_root_diags,
             root_syntax_diags: bp.root_syntax_diags,
-            typedefs: bp.typedefs,
-            typedef_prefix: bp.typedef_prefix,
+            base_typedefs: bp.base_typedefs,
             stdlib_arena: bp.stdlib_arena,
             def_diags,
             unstable,
@@ -447,13 +446,11 @@ impl Session {
         // Re-preprocess the root over a replay: every file it registers
         // must line up with the old plan (same names, same order) so all
         // ids — and therefore every other unit's spans — stay valid.
-        let mut provider = MemoryProvider::new();
-        for (n, t) in &self.files {
-            provider.insert(n.clone(), t.clone());
-        }
         // `new_text` wins over the canonical entry: overlay patches check
         // a text the canonical file set does not hold.
-        provider.insert(self.roots[root_idx].clone(), new_text.to_owned());
+        let mut provider: FxHashMap<&str, &str> =
+            self.files.iter().map(|(name, text)| (name.as_str(), text.as_str())).collect();
+        provider.insert(&self.roots[root_idx], new_text);
         st.sm.begin_replay(plan.clone());
         let out = match preprocess(&self.roots[root_idx], &provider, &mut st.sm) {
             Ok(out) => out,
@@ -468,9 +465,10 @@ impl Session {
             return Ok(false);
         }
 
-        // Re-parse with exactly the typedef context the old build used.
+        // Re-parse with the typedef context every root of the build starts
+        // from.
         let mut parser = Parser::new(out.tokens);
-        for t in &st.typedefs[..st.typedef_prefix[root_idx]] {
+        for t in &st.base_typedefs {
             parser.add_typedef(t.as_str());
         }
         let (new_tu, errors) = parser.parse_translation_unit_recovering();

@@ -27,8 +27,10 @@ const MAX_NESTING_DEPTH: u32 = 256;
 /// legal inputs near [`MAX_NESTING_DEPTH`] need far more head-room than the
 /// 2 MiB default of Rust test threads; a fixed large stack plus the depth
 /// cap bounds worst-case consumption no matter which thread the caller
-/// parses from.
-const PARSE_STACK: usize = 64 * 1024 * 1024;
+/// parses from. Callers that run many parses on their own worker threads
+/// give those threads this stack and call
+/// [`Parser::parse_translation_unit_recovering_inline`].
+pub const PARSE_STACK: usize = 64 * 1024 * 1024;
 
 /// Runs `f` on a thread with [`PARSE_STACK`] bytes of stack, propagating
 /// panics to the caller.
@@ -191,10 +193,15 @@ impl Parser {
     /// declaration does not discard the rest of the file. Returns whatever
     /// parsed cleanly together with every error encountered.
     pub fn parse_translation_unit_recovering(self) -> (TranslationUnit, Vec<SyntaxError>) {
-        on_parse_stack(move || self.parse_translation_unit_recovering_on_stack())
+        on_parse_stack(move || self.parse_translation_unit_recovering_inline())
     }
 
-    fn parse_translation_unit_recovering_on_stack(mut self) -> (TranslationUnit, Vec<SyntaxError>) {
+    /// [`Parser::parse_translation_unit_recovering`] on the calling thread,
+    /// without spawning a parse thread. The caller's thread must have at
+    /// least [`PARSE_STACK`] bytes of stack.
+    pub fn parse_translation_unit_recovering_inline(
+        mut self,
+    ) -> (TranslationUnit, Vec<SyntaxError>) {
         let mut items = Vec::new();
         let mut errors = Vec::new();
         while !self.at_eof() {

@@ -12,7 +12,9 @@ use crate::error::{Result, SyntaxError};
 use crate::lexer::{ControlComment, Lexer};
 use crate::span::{SourceMap, Span};
 use crate::token::{Punct, Token, TokenKind};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash};
 
 /// Supplies file contents to the preprocessor.
 pub trait FileProvider {
@@ -45,9 +47,16 @@ impl FileProvider for MemoryProvider {
     }
 }
 
-impl FileProvider for HashMap<String, String> {
+/// Any name-to-text map serves files, owned (`HashMap<String, String>`) or
+/// borrowed (`FxHashMap<&str, &str>`); a text is copied only when read.
+impl<K, V, S> FileProvider for HashMap<K, V, S>
+where
+    K: Borrow<str> + Hash + Eq,
+    V: AsRef<str>,
+    S: BuildHasher,
+{
     fn read_file(&self, name: &str) -> Option<String> {
-        self.get(name).cloned()
+        self.get(name).map(|text| text.as_ref().to_owned())
     }
 }
 

@@ -56,6 +56,16 @@ impl Span {
         Span { file: self.file, start: self.start.min(other.start), end: self.end.max(other.end) }
     }
 
+    /// The same range with its file id moved up by `base`, for spans
+    /// produced against a map that was then appended at `base` (see
+    /// [`SourceMap::append`]). Synthetic spans stay synthetic.
+    pub fn rebased(self, base: u32) -> Span {
+        if self.is_synthetic() {
+            return self;
+        }
+        Span { file: FileId(self.file.0 + base), ..self }
+    }
+
     /// Number of bytes covered.
     pub fn len(&self) -> u32 {
         self.end.saturating_sub(self.start)
@@ -180,6 +190,22 @@ impl SourceMap {
         let id = FileId(self.files.len() as u32);
         self.files.push(SourceFile::new(name, text));
         id
+    }
+
+    /// Appends every file of `other` after this map's files and returns the
+    /// base: `other`'s file `FileId(i)` is `FileId(base + i)` here. Lets
+    /// files be registered into a private map (for example on a worker
+    /// thread) and placed into a shared one later, with spans moved over
+    /// by [`Span::rebased`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if either map has an active replay.
+    pub fn append(&mut self, other: SourceMap) -> u32 {
+        assert!(self.replay.is_none() && other.replay.is_none(), "append during a replay");
+        let base = self.files.len() as u32;
+        self.files.extend(other.files);
+        base
     }
 
     /// Starts a replay: the next `plan.len()` calls to
@@ -354,6 +380,23 @@ mod tests {
         let extra = sm.add_file("new.h", "int n;");
         assert_eq!(extra, FileId(1));
         assert!(!sm.end_replay());
+    }
+
+    #[test]
+    fn append_returns_base_and_rebased_spans_resolve() {
+        let mut sm = SourceMap::new();
+        sm.add_file("stdlib", "int s;");
+        let mut local = SourceMap::new();
+        let root = local.add_file("r.c", "int a;\nint b;");
+        let hdr = local.add_file("h.h", "int c;");
+        let base = sm.append(local);
+        assert_eq!(base, 1);
+        assert_eq!(sm.len(), 3);
+        let span = Span::new(root, 7, 10).rebased(base);
+        assert_eq!(sm.loc(span).file, "r.c");
+        assert_eq!(sm.loc(span).line, 2);
+        assert_eq!(sm.name(Span::new(hdr, 0, 1).rebased(base).file), "h.h");
+        assert!(Span::synthetic().rebased(base).is_synthetic());
     }
 
     #[test]
