@@ -53,6 +53,7 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const MAGIC: &[u8; 8] = b"LCLCAS1\0";
 const HEADER_LEN: usize = 8 + 4 + 4 + 8;
@@ -109,7 +110,6 @@ pub struct CasStore {
     max_bytes: Option<u64>,
     /// Best-effort running total of artifact bytes (scanned at open).
     total_bytes: u64,
-    tmp_counter: u64,
     stats: CasStats,
 }
 
@@ -130,13 +130,7 @@ impl CasStore {
                 total += e.metadata().map(|m| m.len()).unwrap_or(0);
             }
         }
-        Ok(CasStore {
-            dir,
-            max_bytes,
-            total_bytes: total,
-            tmp_counter: 0,
-            stats: CasStats::default(),
-        })
+        Ok(CasStore { dir, max_bytes, total_bytes: total, stats: CasStats::default() })
     }
 
     /// The directory this handle serves.
@@ -216,9 +210,11 @@ impl CasStore {
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(&payload_checksum(payload).to_le_bytes());
         buf.extend_from_slice(payload);
-        self.tmp_counter += 1;
-        let tmp =
-            self.dir.join(format!("{key:016x}.tmp.{}.{}", std::process::id(), self.tmp_counter));
+        // The counter is process-wide: two handles in one process writing
+        // the same key must never share a temp path.
+        static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
+        let tmp = self.dir.join(format!("{key:016x}.tmp.{}.{n}", std::process::id()));
         if fs::write(&tmp, &buf).is_err() {
             let _ = fs::remove_file(&tmp);
             return;

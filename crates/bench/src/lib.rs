@@ -1417,12 +1417,6 @@ mod tests {
     }
 
     #[test]
-    fn stdlib_cache_hits_every_warm_call() {
-        let stats = stdlib_cache_stats(5);
-        assert_eq!(stats.hits_delta, 5, "{stats:?}");
-    }
-
-    #[test]
     fn inference_round_trip_meets_the_acceptance_bars() {
         let rows = inference_table(2_000, &[0.0, 1.0]);
         let stripped = &rows[0];

@@ -366,7 +366,7 @@ impl Linter {
             let out = preprocess(name, &HashMap::from([(name.as_str(), text.as_str())]), &mut sm)?;
             let mut parser = Parser::new(out.tokens);
             for t in &typedefs {
-                parser.add_typedef(t.as_str());
+                parser.add_typedef(*t);
             }
             let tu = parser.parse_translation_unit()?;
             typedefs.extend(collect_typedef_names(&tu));
@@ -602,7 +602,7 @@ fn front_end_root(
             }
             let mut parser = Parser::new(out.tokens);
             for t in typedefs {
-                parser.add_typedef(t.as_str());
+                parser.add_typedef(*t);
             }
             let (unit, errors) = parser.parse_translation_unit_recovering_inline();
             let diags = errors.into_iter().map(syntax_error).collect();

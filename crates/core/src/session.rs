@@ -469,7 +469,7 @@ impl Session {
         // from.
         let mut parser = Parser::new(out.tokens);
         for t in &st.base_typedefs {
-            parser.add_typedef(t.as_str());
+            parser.add_typedef(*t);
         }
         let (new_tu, errors) = parser.parse_translation_unit_recovering();
         if !errors.is_empty() {

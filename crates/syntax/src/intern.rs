@@ -19,7 +19,7 @@
 //! Storage is append-only and leaked (`&'static str`), so `as_str` hands
 //! out references without holding a lock.
 
-use std::collections::HashMap;
+use crate::fx::FxHashMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
@@ -30,7 +30,7 @@ pub struct Symbol(u32);
 struct Interner {
     strings: Vec<&'static str>,
     hashes: Vec<u64>,
-    map: HashMap<&'static str, u32>,
+    map: FxHashMap<&'static str, u32>,
     /// Total bytes of distinct interned text (leaked storage footprint).
     bytes: usize,
 }
@@ -46,8 +46,12 @@ fn fnv1a(s: &str) -> u64 {
 
 impl Interner {
     fn new() -> Self {
-        let mut it =
-            Interner { strings: Vec::new(), hashes: Vec::new(), map: HashMap::new(), bytes: 0 };
+        let mut it = Interner {
+            strings: Vec::new(),
+            hashes: Vec::new(),
+            map: FxHashMap::default(),
+            bytes: 0,
+        };
         // Pre-intern names the checker tests against constantly, so their
         // ids are process-constant and available via the `sym` shorthands.
         for s in ["", "NULL", "malloc", "free", "assert", "size_t", "FILE", "main"] {

@@ -5,8 +5,16 @@
 //! (`/*@null@*/` and friends) as [`TokenKind::Annot`] tokens, and diverts
 //! *control* comments (`/*@ignore@*/`, `/*@end@*/`, `/*@i@*/`) into a side
 //! list used for message suppression.
+//!
+//! Token text is interned here, once: identifiers, string literals, header
+//! names and annotation words become [`Symbol`]s, so tokens are `Copy` and
+//! nothing downstream allocates for them. A per-lexer map over the file's
+//! own text sits in front of the global interner, so its lock is taken once
+//! per distinct spelling in a file rather than once per occurrence.
 
 use crate::error::{Result, SyntaxError};
+use crate::fx::FxHashMap;
+use crate::intern::Symbol;
 use crate::span::{FileId, Span};
 use crate::token::{Keyword, Punct, Token, TokenKind};
 
@@ -41,6 +49,8 @@ pub struct Lexer<'a> {
     /// Set after `# include` at a line start so `<...>` lexes as a header name.
     expect_header: u8,
     controls: Vec<ControlComment>,
+    /// Symbols already interned for spellings in this file's text.
+    syms: FxHashMap<&'a str, Symbol>,
 }
 
 impl<'a> Lexer<'a> {
@@ -55,7 +65,19 @@ impl<'a> Lexer<'a> {
             pending_space: false,
             expect_header: 0,
             controls: Vec::new(),
+            syms: FxHashMap::default(),
         }
+    }
+
+    /// The file's text between two byte offsets.
+    fn slice(&self, start: usize, end: usize) -> &'a str {
+        &self.text[start..end]
+    }
+
+    /// Interns a slice of this file's text, asking the global interner only
+    /// the first time the spelling occurs in the file.
+    fn intern(&mut self, text: &'a str) -> Symbol {
+        *self.syms.entry(text).or_insert_with(|| Symbol::intern(text))
     }
 
     /// Lexes an entire file, returning its tokens (ending with `Eof`) and the
@@ -177,15 +199,14 @@ impl<'a> Lexer<'a> {
                 _ => self.pos += 1,
             }
         }
-        let mut content = &self.text[content_start..self.pos];
+        let mut content = self.slice(content_start, self.pos);
         self.pos += 2; // "*/"
                        // The closing form is `@*/`; strip the trailing `@` if present.
         if let Some(stripped) = content.strip_suffix('@') {
             content = stripped;
         }
         let span = self.span_from(start);
-        let words: Vec<String> = content.split_whitespace().map(str::to_owned).collect();
-        let control = match words.first().map(String::as_str) {
+        let control = match content.split_whitespace().next() {
             Some("ignore") => Some(ControlKind::Ignore),
             Some("end") => Some(ControlKind::End),
             Some("i") => Some(ControlKind::SuppressNext),
@@ -202,10 +223,20 @@ impl<'a> Lexer<'a> {
             self.controls.push(ControlComment { kind, span });
             return Ok(None);
         }
-        if words.is_empty() {
+        let content = content.trim();
+        if content.is_empty() {
             // `/*@@*/` or whitespace-only: treat as an ordinary comment.
             return Ok(None);
         }
+        // The payload is the words joined by single spaces; most comments
+        // are spelled that way already and intern straight from the source.
+        let single_spaced =
+            !content.contains("  ") && !content.contains(|c: char| c.is_whitespace() && c != ' ');
+        let words = if single_spaced {
+            self.intern(content)
+        } else {
+            Symbol::intern(&content.split_whitespace().collect::<Vec<_>>().join(" "))
+        };
         Ok(Some(self.make_token(TokenKind::Annot(words), span)))
     }
 
@@ -278,7 +309,7 @@ impl<'a> Lexer<'a> {
             }
             self.pos += 1;
         }
-        let name = self.text[name_start..self.pos].to_owned();
+        let name = self.intern(self.slice(name_start, self.pos));
         self.pos += 1; // '>'
         self.expect_header = 0;
         let span = self.span_from(start);
@@ -293,11 +324,11 @@ impl<'a> Lexer<'a> {
         } {
             self.pos += 1;
         }
-        let text = &self.text[start..self.pos];
+        let text = self.slice(start, self.pos);
         let span = self.span_from(start);
         let kind = match Keyword::from_bytes(text.as_bytes()) {
             Some(k) => TokenKind::Kw(k),
-            None => TokenKind::Ident(text.to_owned()),
+            None => TokenKind::Ident(self.intern(text)),
         };
         self.make_token(kind, span)
     }
@@ -432,7 +463,7 @@ impl<'a> Lexer<'a> {
             }
         }
         let span = self.span_from(start);
-        Ok(self.make_token(TokenKind::Str(value), span))
+        Ok(self.make_token(TokenKind::Str(Symbol::intern(&value)), span))
     }
 
     fn lex_char(&mut self) -> Result<Token> {
@@ -718,7 +749,7 @@ mod tests {
         assert_eq!(
             lex("/*@null@*/ char *p;"),
             vec![
-                TokenKind::Annot(vec!["null".into()]),
+                TokenKind::Annot("null".into()),
                 TokenKind::Kw(Keyword::Char),
                 TokenKind::Punct(Punct::Star),
                 TokenKind::Ident("p".into()),
@@ -729,17 +760,37 @@ mod tests {
 
     #[test]
     fn multi_word_annotation() {
-        assert_eq!(
-            lex("/*@null out only@*/"),
-            vec![TokenKind::Annot(vec!["null".into(), "out".into(), "only".into()])]
-        );
+        assert_eq!(lex("/*@null out only@*/"), vec![TokenKind::Annot("null out only".into())]);
+        // Words are joined by single spaces however the comment spaces them.
+        assert_eq!(lex("/*@ null\tout \n only @*/"), lex("/*@null out only@*/"));
+    }
+
+    #[test]
+    fn payloads_are_interned_text() {
+        let src = "#include <lex_payload.h>\nchar *lex_payload_id = \"lex payload str\";\n\
+                   /*@lex_payload_word  other@*/ char *esc = \"tab\\there\";";
+        let (toks, _) = Lexer::tokenize(src, FileId(0)).unwrap();
+        let kinds: Vec<TokenKind> = toks.iter().map(|t| t.kind).collect();
+        for expected in [
+            TokenKind::HeaderName(Symbol::intern("lex_payload.h")),
+            TokenKind::Ident(Symbol::intern("lex_payload_id")),
+            TokenKind::Str(Symbol::intern("lex payload str")),
+            TokenKind::Annot(Symbol::intern("lex_payload_word other")),
+            TokenKind::Str(Symbol::intern("tab\there")),
+        ] {
+            assert!(kinds.contains(&expected), "{expected:?} not in {kinds:?}");
+        }
+        // A repeated spelling maps to the same symbol.
+        let (toks, _) = Lexer::tokenize("same same", FileId(0)).unwrap();
+        assert_eq!(toks[0].kind, toks[1].kind);
+        assert_eq!(toks[0].kind.ident().map(Symbol::as_str), Some("same"));
     }
 
     #[test]
     fn control_comments_diverted() {
         let (toks, controls) =
             Lexer::tokenize("x /*@i@*/ y /*@ignore@*/ z /*@end@*/", FileId(0)).unwrap();
-        let kinds: Vec<_> = toks.iter().map(|t| t.kind.clone()).collect();
+        let kinds: Vec<_> = toks.iter().map(|t| t.kind).collect();
         assert_eq!(
             kinds,
             vec![

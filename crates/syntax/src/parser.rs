@@ -10,10 +10,10 @@
 use crate::annot::{Annot, AnnotSet};
 use crate::ast::*;
 use crate::error::{Result, SyntaxError};
+use crate::fx::FxHashSet;
 use crate::intern::Symbol;
 use crate::span::Span;
 use crate::token::{Keyword as Kw, Punct, Token, TokenKind};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Maximum recursive-descent nesting depth (expressions, statements,
@@ -50,7 +50,7 @@ fn on_parse_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> 
 pub struct Parser {
     toks: Vec<Token>,
     pos: usize,
-    typedefs: HashSet<String>,
+    typedefs: FxHashSet<Symbol>,
     depth: u32,
     ast: Ast,
 }
@@ -58,18 +58,18 @@ pub struct Parser {
 impl Parser {
     /// Creates a parser over a preprocessed token stream (must end in `Eof`).
     pub fn new(toks: Vec<Token>) -> Self {
-        let mut typedefs = HashSet::new();
         // `size_t` and friends are treated as built-in typedef names so
         // standard-library signatures parse without headers.
-        for t in ["size_t", "FILE", "va_list", "bool_", "ptrdiff_t"] {
-            typedefs.insert(t.to_owned());
-        }
+        let typedefs = ["size_t", "FILE", "va_list", "bool_", "ptrdiff_t"]
+            .into_iter()
+            .map(Symbol::intern)
+            .collect();
         let ast = Ast::with_estimated_capacity(toks.len());
         Parser { toks, pos: 0, typedefs, depth: 0, ast }
     }
 
     /// Registers an extra typedef name before parsing.
-    pub fn add_typedef(&mut self, name: impl Into<String>) {
+    pub fn add_typedef(&mut self, name: impl Into<Symbol>) {
         self.typedefs.insert(name.into());
     }
 
@@ -84,7 +84,7 @@ impl Parser {
     }
 
     fn bump(&mut self) -> Token {
-        let t = self.toks[self.pos.min(self.toks.len() - 1)].clone();
+        let t = *self.peek();
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
@@ -128,9 +128,8 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<(Symbol, Span)> {
-        match &self.peek().kind {
+        match self.peek().kind {
             TokenKind::Ident(s) => {
-                let s = Symbol::intern(s);
                 let span = self.peek().span;
                 self.pos += 1;
                 Ok((s, span))
@@ -288,7 +287,7 @@ impl Parser {
     fn register_typedef(&mut self, specs: &DeclSpecs, d: &Declarator) {
         if specs.storage == Some(StorageClass::Typedef) {
             if let Some(n) = d.name {
-                self.typedefs.insert(n.as_str().to_owned());
+                self.typedefs.insert(n);
             }
         }
     }
@@ -365,8 +364,8 @@ impl Parser {
         let mut base: Option<TypeSpec> = None;
 
         loop {
-            let t = self.peek().clone();
-            match &t.kind {
+            let t = *self.peek();
+            match t.kind {
                 TokenKind::Kw(k) => match k {
                     Kw::Typedef | Kw::Extern | Kw::Static | Kw::Auto | Kw::Register => {
                         let sc = match k {
@@ -439,26 +438,16 @@ impl Parser {
                     if base.is_none()
                         && size.is_none()
                         && signedness.is_none()
-                        && self.typedefs.contains(n) =>
+                        && self.typedefs.contains(&n) =>
                 {
                     // A typedef name is only a type specifier if no other
                     // type words have been seen (so `unsigned x;` keeps `x`
                     // as the declarator).
-                    base = Some(TypeSpec::Named(Symbol::intern(n)));
+                    base = Some(TypeSpec::Named(n));
                     self.pos += 1;
                 }
                 TokenKind::Annot(words) => {
-                    for w in words {
-                        match Annot::from_word(w) {
-                            Some(a) => annots.add(a, t.span)?,
-                            None => {
-                                return Err(SyntaxError::new(
-                                    format!("unknown annotation `{w}`"),
-                                    t.span,
-                                ));
-                            }
-                        }
-                    }
+                    add_annots(&mut annots, words, t.span)?;
                     self.pos += 1;
                 }
                 _ => break,
@@ -494,9 +483,8 @@ impl Parser {
         let start = self.peek().span;
         let is_union = self.at_kw(Kw::Union);
         self.pos += 1; // struct/union keyword
-        let name = match &self.peek().kind {
+        let name = match self.peek().kind {
             TokenKind::Ident(n) => {
-                let n = Symbol::intern(n);
                 self.pos += 1;
                 Some(n)
             }
@@ -535,9 +523,8 @@ impl Parser {
     fn parse_enum_spec(&mut self) -> Result<EnumSpec> {
         let start = self.peek().span;
         self.pos += 1; // enum
-        let name = match &self.peek().kind {
+        let name = match self.peek().kind {
             TokenKind::Ident(n) => {
-                let n = Symbol::intern(n);
                 self.pos += 1;
                 Some(n)
             }
@@ -589,20 +576,10 @@ impl Parser {
             let mut is_const = false;
             let mut progressed = false;
             loop {
-                let t = self.peek().clone();
-                match &t.kind {
+                let t = *self.peek();
+                match t.kind {
                     TokenKind::Annot(words) => {
-                        for w in words {
-                            match Annot::from_word(w) {
-                                Some(a) => annots.add(a, t.span)?,
-                                None => {
-                                    return Err(SyntaxError::new(
-                                        format!("unknown annotation `{w}`"),
-                                        t.span,
-                                    ));
-                                }
-                            }
-                        }
+                        add_annots(&mut annots, words, t.span)?;
                         self.pos += 1;
                     }
                     TokenKind::Kw(Kw::Const) => {
@@ -622,19 +599,8 @@ impl Parser {
                         is_const = true;
                     } else if self.eat_kw(Kw::Volatile) {
                         // accepted, not tracked
-                    } else if let TokenKind::Annot(words) = &self.peek().kind.clone() {
-                        let span = self.peek().span;
-                        for w in words {
-                            match Annot::from_word(w) {
-                                Some(a) => annots.add(a, span)?,
-                                None => {
-                                    return Err(SyntaxError::new(
-                                        format!("unknown annotation `{w}`"),
-                                        span,
-                                    ));
-                                }
-                            }
-                        }
+                    } else if let TokenKind::Annot(words) = self.peek().kind {
+                        add_annots(&mut annots, words, self.peek().span)?;
                         self.pos += 1;
                     } else {
                         break;
@@ -659,9 +625,8 @@ impl Parser {
         }
 
         // Direct declarator.
-        let mut direct = match &self.peek().kind {
-            TokenKind::Ident(n) => {
-                let name = Symbol::intern(n);
+        let mut direct = match self.peek().kind {
+            TokenKind::Ident(name) => {
                 let span = self.peek().span;
                 self.pos += 1;
                 Declarator { name: Some(name), derived: Vec::new(), span }
@@ -717,10 +682,9 @@ impl Parser {
     /// parameter list of an anonymous function declarator).
     fn is_paren_declarator(&self, allow_abstract: bool) -> bool {
         // `(*` or `(ident-that-is-not-a-type` → parenthesized declarator.
-        let t1 = &self.peek_at(1).kind;
-        match t1 {
+        match self.peek_at(1).kind {
             TokenKind::Punct(Punct::Star) => true,
-            TokenKind::Ident(n) => !self.typedefs.contains(n) || !allow_abstract,
+            TokenKind::Ident(n) => !self.typedefs.contains(&n) || !allow_abstract,
             TokenKind::Annot(_) => true,
             _ => false,
         }
@@ -728,17 +692,18 @@ impl Parser {
 
     /// Parses a `/*@globals ...@*/` list if present at the cursor.
     fn parse_globals_list(&mut self) -> Result<Option<Vec<GlobalSpec>>> {
-        let words = match &self.peek().kind {
-            TokenKind::Annot(words) if words.first().map(String::as_str) == Some("globals") => {
-                words.clone()
-            }
+        let mut words = match self.peek().kind {
+            TokenKind::Annot(words) => words.as_str().split(' '),
             _ => return Ok(None),
         };
+        if words.next() != Some("globals") {
+            return Ok(None);
+        }
         let span = self.peek().span;
         self.pos += 1;
         let mut globals = Vec::new();
         let mut undef_next = false;
-        for w in &words[1..] {
+        for w in words {
             let w = w.trim_end_matches(',');
             if w.is_empty() {
                 continue;
@@ -863,7 +828,7 @@ impl Parser {
 
     fn parse_stmt_inner(&mut self) -> Result<StmtId> {
         let start = self.peek().span;
-        match self.peek().kind.clone() {
+        match self.peek().kind {
             TokenKind::Punct(Punct::LBrace) => self.parse_compound(),
             TokenKind::Punct(Punct::Semi) => {
                 self.pos += 1;
@@ -975,7 +940,6 @@ impl Parser {
                 Ok(self.ast.alloc_stmt(StmtKind::Goto(name), start.to(end)))
             }
             TokenKind::Ident(name) if self.at_label() => {
-                let name = Symbol::intern(&name);
                 self.pos += 2; // ident, colon
                 let stmt = self.parse_stmt()?;
                 let end = self.ast.stmt_span(stmt);
@@ -1219,11 +1183,11 @@ impl Parser {
     }
 
     fn parse_primary_expr(&mut self) -> Result<ExprId> {
-        let t = self.peek().clone();
+        let t = *self.peek();
         match t.kind {
             TokenKind::Ident(name) => {
                 self.pos += 1;
-                Ok(self.ast.alloc_expr(ExprKind::Ident(Symbol::intern(&name)), t.span))
+                Ok(self.ast.alloc_expr(ExprKind::Ident(name), t.span))
             }
             TokenKind::Int(v) => {
                 self.pos += 1;
@@ -1239,11 +1203,14 @@ impl Parser {
             }
             TokenKind::Str(s) => {
                 self.pos += 1;
+                if !matches!(self.peek().kind, TokenKind::Str(_)) {
+                    return Ok(self.ast.alloc_expr(ExprKind::StrLit(s), t.span));
+                }
                 // Adjacent string literals concatenate.
-                let mut full = s;
+                let mut full = s.as_str().to_owned();
                 let mut span = t.span;
-                while let TokenKind::Str(next) = &self.peek().kind {
-                    full.push_str(next);
+                while let TokenKind::Str(next) = self.peek().kind {
+                    full.push_str(next.as_str());
                     span = span.to(self.peek().span);
                     self.pos += 1;
                 }
@@ -1260,6 +1227,19 @@ impl Parser {
             other => Err(self.err(format!("expected expression, found `{other}`"))),
         }
     }
+}
+
+/// Adds the words of an annotation comment to `annots`.
+fn add_annots(annots: &mut AnnotSet, words: Symbol, span: Span) -> Result<()> {
+    for w in words.as_str().split(' ') {
+        match Annot::from_word(w) {
+            Some(a) => annots.add(a, span)?,
+            None => {
+                return Err(SyntaxError::new(format!("unknown annotation `{w}`"), span));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -9,6 +9,8 @@
 //! definitions the way LCLint's do.
 
 use crate::error::{Result, SyntaxError};
+use crate::fx::FxHashMap;
+use crate::intern::Symbol;
 use crate::lexer::{ControlComment, Lexer};
 use crate::span::{SourceMap, Span};
 use crate::token::{Punct, Token, TokenKind};
@@ -93,7 +95,7 @@ impl FileProvider for DiskProvider {
 #[derive(Debug, Clone, PartialEq)]
 struct Macro {
     /// `Some(params)` for function-like macros.
-    params: Option<Vec<String>>,
+    params: Option<Vec<Symbol>>,
     /// Replacement tokens.
     body: Vec<Token>,
 }
@@ -122,10 +124,13 @@ struct Cond {
 const MAX_INCLUDE_DEPTH: usize = 64;
 const MAX_EXPANSION_DEPTH: usize = 128;
 
+/// Defined macros by name.
+type Macros = FxHashMap<Symbol, Macro>;
+
 /// The preprocessor driver.
 pub struct Preprocessor<'p> {
     provider: &'p dyn FileProvider,
-    macros: HashMap<String, Macro>,
+    macros: Macros,
     out: Vec<Token>,
     controls: Vec<ControlComment>,
     include_stack: Vec<String>,
@@ -136,7 +141,7 @@ impl<'p> Preprocessor<'p> {
     pub fn new(provider: &'p dyn FileProvider) -> Self {
         Preprocessor {
             provider,
-            macros: HashMap::new(),
+            macros: Macros::default(),
             out: Vec::new(),
             controls: Vec::new(),
             include_stack: Vec::new(),
@@ -151,7 +156,7 @@ impl<'p> Preprocessor<'p> {
                 t
             })
             .unwrap_or_default();
-        self.macros.insert(name.to_owned(), Macro { params: None, body: toks });
+        self.macros.insert(Symbol::intern(name), Macro { params: None, body: toks });
     }
 
     /// Preprocesses `main_name`, registering every file read in `sm`.
@@ -183,8 +188,7 @@ impl<'p> Preprocessor<'p> {
             SyntaxError::new(format!("cannot open include file `{name}`"), include_site)
         })?;
         let file_id = sm.add_file(name, text);
-        let owned_text = sm.text(file_id).to_owned();
-        let (tokens, controls) = Lexer::tokenize(&owned_text, file_id)?;
+        let (tokens, controls) = Lexer::tokenize(sm.text(file_id), file_id)?;
         self.controls.extend(controls);
         self.include_stack.push(name.to_owned());
         let result = self.process_tokens(&tokens, sm);
@@ -209,8 +213,7 @@ impl<'p> Preprocessor<'p> {
             let active = conds.iter().all(|c| c.active);
             let run_end = Self::run_end(tokens, i);
             if active {
-                let expanded = self.expand(&tokens[i..run_end], &mut Vec::new(), 0)?;
-                self.out.extend(expanded);
+                Self::expand(&self.macros, &tokens[i..run_end], &mut Vec::new(), 0, &mut self.out)?;
             }
             i = run_end;
         }
@@ -254,9 +257,9 @@ impl<'p> Preprocessor<'p> {
     ) -> Result<()> {
         let name = match line.first() {
             None => return Ok(()), // null directive `#`
-            Some(t) => match &t.kind {
-                TokenKind::Ident(s) => s.clone(),
-                TokenKind::Kw(k) => k.as_str().to_owned(),
+            Some(t) => match t.kind {
+                TokenKind::Ident(s) => s.as_str(),
+                TokenKind::Kw(k) => k.as_str(),
                 _ => {
                     return Err(SyntaxError::new("malformed preprocessor directive", t.span));
                 }
@@ -264,11 +267,11 @@ impl<'p> Preprocessor<'p> {
         };
         let active = conds.iter().all(|c| c.active);
         let rest = &line[1..];
-        match name.as_str() {
+        match name {
             "ifdef" | "ifndef" => {
                 let defined = rest
                     .first()
-                    .and_then(|t| t.kind.ident().map(|s| self.macros.contains_key(s)))
+                    .and_then(|t| t.kind.ident().map(|s| self.macros.contains_key(&s)))
                     .unwrap_or(false);
                 let cond_true = if name == "ifdef" { defined } else { !defined };
                 conds.push(Cond {
@@ -311,18 +314,17 @@ impl<'p> Preprocessor<'p> {
             "define" if active => self.define(rest, hash_span)?,
             "undef" if active => {
                 if let Some(n) = rest.first().and_then(|t| t.kind.ident()) {
-                    self.macros.remove(n);
+                    self.macros.remove(&n);
                 }
             }
             "include" if active => {
-                let target = match rest.first().map(|t| &t.kind) {
-                    Some(TokenKind::Str(s)) => s.clone(),
-                    Some(TokenKind::HeaderName(h)) => h.clone(),
+                let target = match rest.first().map(|t| t.kind) {
+                    Some(TokenKind::Str(s) | TokenKind::HeaderName(s)) => s,
                     _ => {
                         return Err(SyntaxError::new("malformed #include", hash_span));
                     }
                 };
-                self.process_file(&target, sm, hash_span)?;
+                self.process_file(target.as_str(), sm, hash_span)?;
             }
             "error" if active => {
                 let msg: Vec<String> = rest.iter().map(|t| t.kind.to_string()).collect();
@@ -347,8 +349,7 @@ impl<'p> Preprocessor<'p> {
         let name = name_tok
             .kind
             .ident()
-            .ok_or_else(|| SyntaxError::new("#define requires an identifier", name_tok.span))?
-            .to_owned();
+            .ok_or_else(|| SyntaxError::new("#define requires an identifier", name_tok.span))?;
         // Function-like only if `(` immediately follows the name (no space).
         let function_like =
             matches!(after.first(), Some(t) if t.kind.is_punct(Punct::LParen) && !t.leading_space);
@@ -364,7 +365,7 @@ impl<'p> Preprocessor<'p> {
                         .kind
                         .ident()
                         .ok_or_else(|| SyntaxError::new("expected macro parameter name", p.span))?;
-                    params.push(pn.to_owned());
+                    params.push(pn);
                     j += 1;
                     match after.get(j).map(|t| &t.kind) {
                         Some(TokenKind::Punct(Punct::Comma)) => j += 1,
@@ -386,61 +387,46 @@ impl<'p> Preprocessor<'p> {
         Ok(())
     }
 
-    /// Expands a run of tokens. `hide` is the stack of macro names currently
-    /// being expanded (prevents recursion).
-    fn expand(&self, tokens: &[Token], hide: &mut Vec<String>, depth: usize) -> Result<Vec<Token>> {
+    /// Expands a run of tokens onto the end of `out`. `hide` is the stack of
+    /// macro names currently being expanded (prevents recursion).
+    fn expand(
+        macros: &Macros,
+        tokens: &[Token],
+        hide: &mut Vec<Symbol>,
+        depth: usize,
+        out: &mut Vec<Token>,
+    ) -> Result<()> {
         if depth > MAX_EXPANSION_DEPTH {
             return Err(SyntaxError::new(
                 "macro expansion depth limit exceeded",
                 tokens.first().map(|t| t.span).unwrap_or_default(),
             ));
         }
-        let mut out = Vec::with_capacity(tokens.len());
         let mut i = 0;
         while i < tokens.len() {
-            let t = &tokens[i];
-            let name = match t.kind.ident() {
-                Some(n) => n.to_owned(),
-                None => {
-                    out.push(t.clone());
-                    i += 1;
-                    continue;
-                }
-            };
-            if hide.contains(&name) {
-                out.push(t.clone());
-                i += 1;
+            let t = tokens[i];
+            i += 1;
+            let Some((name, mac)) = t
+                .kind
+                .ident()
+                .filter(|n| !hide.contains(n))
+                .and_then(|n| macros.get(&n).map(|m| (n, m)))
+            else {
+                out.push(t);
                 continue;
-            }
-            let mac = match self.macros.get(&name) {
-                Some(m) => m.clone(),
-                None => {
-                    out.push(t.clone());
-                    i += 1;
-                    continue;
-                }
             };
-            match mac.params {
+            match &mac.params {
                 None => {
                     hide.push(name);
-                    let expanded = self.expand(&mac.body, hide, depth + 1)?;
+                    Self::expand(macros, &mac.body, hide, depth + 1, out)?;
                     hide.pop();
-                    out.extend(expanded);
-                    i += 1;
                 }
-                Some(ref params) => {
-                    // Function-like: require `(` as next token, else plain ident.
-                    let Some(open) = tokens.get(i + 1) else {
-                        out.push(t.clone());
-                        i += 1;
-                        continue;
-                    };
-                    if !open.kind.is_punct(Punct::LParen) {
-                        out.push(t.clone());
-                        i += 1;
-                        continue;
-                    }
-                    let (args, after) = Self::collect_args(tokens, i + 1, t.span)?;
+                // Function-like: a call only when `(` follows, else a plain ident.
+                Some(_) if !tokens.get(i).is_some_and(|open| open.kind.is_punct(Punct::LParen)) => {
+                    out.push(t);
+                }
+                Some(params) => {
+                    let (args, after) = Self::collect_args(tokens, i, t.span)?;
                     if args.len() != params.len()
                         && !(params.is_empty() && args.len() == 1 && args[0].is_empty())
                     {
@@ -455,50 +441,51 @@ impl<'p> Preprocessor<'p> {
                     }
                     let mut expanded_args = Vec::with_capacity(args.len());
                     for a in &args {
-                        expanded_args.push(self.expand(a, hide, depth + 1)?);
+                        let mut e = Vec::with_capacity(a.len());
+                        Self::expand(macros, a, hide, depth + 1, &mut e)?;
+                        expanded_args.push(e);
                     }
                     let substituted =
                         Self::substitute(&mac.body, params, &args, &expanded_args, t.span)?;
                     hide.push(name);
-                    let rescanned = self.expand(&substituted, hide, depth + 1)?;
+                    Self::expand(macros, &substituted, hide, depth + 1, out)?;
                     hide.pop();
-                    out.extend(rescanned);
                     i = after;
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Collects macro call arguments starting at the `(` at `open`. Returns
-    /// the argument token lists and the index one past the closing `)`.
-    fn collect_args(tokens: &[Token], open: usize, site: Span) -> Result<(Vec<Vec<Token>>, usize)> {
-        let mut args: Vec<Vec<Token>> = vec![Vec::new()];
+    /// each argument as a slice of `tokens` and the index one past the closing
+    /// `)`.
+    fn collect_args(tokens: &[Token], open: usize, site: Span) -> Result<(Vec<&[Token]>, usize)> {
+        let mut args = Vec::new();
+        let mut arg_start = open + 1;
         let mut depth = 0usize;
         let mut j = open;
         loop {
             let t = tokens
                 .get(j)
                 .ok_or_else(|| SyntaxError::new("unterminated macro argument list", site))?;
-            match &t.kind {
+            match t.kind {
                 TokenKind::Eof => {
                     return Err(SyntaxError::new("unterminated macro argument list", site));
                 }
-                TokenKind::Punct(Punct::LParen) => {
-                    depth += 1;
-                    if depth > 1 {
-                        args.last_mut().expect("non-empty").push(t.clone());
-                    }
-                }
+                TokenKind::Punct(Punct::LParen) => depth += 1,
                 TokenKind::Punct(Punct::RParen) => {
                     depth -= 1;
                     if depth == 0 {
+                        args.push(&tokens[arg_start..j]);
                         return Ok((args, j + 1));
                     }
-                    args.last_mut().expect("non-empty").push(t.clone());
                 }
-                TokenKind::Punct(Punct::Comma) if depth == 1 => args.push(Vec::new()),
-                _ => args.last_mut().expect("non-empty").push(t.clone()),
+                TokenKind::Punct(Punct::Comma) if depth == 1 => {
+                    args.push(&tokens[arg_start..j]);
+                    arg_start = j + 1;
+                }
+                _ => {}
             }
             j += 1;
         }
@@ -507,13 +494,13 @@ impl<'p> Preprocessor<'p> {
     /// Substitutes parameters into a macro body, handling `#` and `##`.
     fn substitute(
         body: &[Token],
-        params: &[String],
-        raw_args: &[Vec<Token>],
+        params: &[Symbol],
+        raw_args: &[&[Token]],
         expanded_args: &[Vec<Token>],
         site: Span,
     ) -> Result<Vec<Token>> {
         let param_index = |tok: &Token| -> Option<usize> {
-            tok.kind.ident().and_then(|n| params.iter().position(|p| p == n))
+            tok.kind.ident().and_then(|n| params.iter().position(|&p| p == n))
         };
         let mut out: Vec<Token> = Vec::with_capacity(body.len());
         let mut i = 0;
@@ -524,7 +511,7 @@ impl<'p> Preprocessor<'p> {
                 if let Some(p) = body.get(i + 1).and_then(param_index) {
                     let text: Vec<String> =
                         raw_args[p].iter().map(|a| a.kind.to_string()).collect();
-                    out.push(Token::new(TokenKind::Str(text.join(" ")), site));
+                    out.push(Token::new(TokenKind::Str(Symbol::intern(&text.join(" "))), site));
                     i += 2;
                     continue;
                 }
@@ -534,13 +521,13 @@ impl<'p> Preprocessor<'p> {
                 && i + 2 < body.len()
             {
                 let left_toks = match param_index(t) {
-                    Some(p) => raw_args[p].clone(),
-                    None => vec![t.clone()],
+                    Some(p) => raw_args[p],
+                    None => std::slice::from_ref(t),
                 };
                 let rt = &body[i + 2];
                 let right_toks = match param_index(rt) {
-                    Some(p) => raw_args[p].clone(),
-                    None => vec![rt.clone()],
+                    Some(p) => raw_args[p],
+                    None => std::slice::from_ref(rt),
                 };
                 let lhs = left_toks.last().map(|x| x.kind.to_string()).unwrap_or_default();
                 let rhs = right_toks.first().map(|x| x.kind.to_string()).unwrap_or_default();
@@ -553,18 +540,18 @@ impl<'p> Preprocessor<'p> {
                         )
                     })?;
                 pasted.pop(); // Eof
-                out.extend(left_toks[..left_toks.len().saturating_sub(1)].iter().cloned());
+                out.extend_from_slice(&left_toks[..left_toks.len().saturating_sub(1)]);
                 for mut p in pasted {
                     p.span = site;
                     out.push(p);
                 }
-                out.extend(right_toks.iter().skip(1).cloned());
+                out.extend_from_slice(right_toks.get(1..).unwrap_or_default());
                 i += 3;
                 continue;
             }
             match param_index(t) {
-                Some(p) => out.extend(expanded_args[p].iter().cloned()),
-                None => out.push(t.clone()),
+                Some(p) => out.extend_from_slice(&expanded_args[p]),
+                None => out.push(*t),
             }
             i += 1;
         }
@@ -583,7 +570,7 @@ impl<'p> Preprocessor<'p> {
         let mut i = 0;
         while i < tokens.len() {
             let t = &tokens[i];
-            if t.kind.ident() == Some("defined") {
+            if matches!(t.kind, TokenKind::Ident(s) if s == "defined") {
                 let (name, consumed) =
                     if tokens.get(i + 1).map(|x| x.kind.is_punct(Punct::LParen)) == Some(true) {
                         let n = tokens
@@ -601,15 +588,16 @@ impl<'p> Preprocessor<'p> {
                             .ok_or_else(|| SyntaxError::new("malformed `defined`", t.span))?;
                         (n, 2)
                     };
-                let v = i64::from(self.macros.contains_key(name));
+                let v = i64::from(self.macros.contains_key(&name));
                 pre.push(Token::new(TokenKind::Int(v), t.span));
                 i += consumed;
             } else {
-                pre.push(t.clone());
+                pre.push(*t);
                 i += 1;
             }
         }
-        let expanded = self.expand(&pre, &mut Vec::new(), 0)?;
+        let mut expanded = Vec::with_capacity(pre.len());
+        Self::expand(&self.macros, &pre, &mut Vec::new(), 0, &mut expanded)?;
         let mut ev = CondEval { toks: &expanded, pos: 0 };
         let v = ev.ternary()?;
         Ok(v)
@@ -914,9 +902,7 @@ mod tests {
     #[test]
     fn annotations_flow_through() {
         let k = pp("/*@null@*/ char *p;", &[]);
-        assert!(k
-            .iter()
-            .any(|t| matches!(t, TokenKind::Annot(w) if w == &vec!["null".to_owned()])));
+        assert!(k.iter().any(|t| matches!(t, TokenKind::Annot(w) if *w == "null")));
     }
 
     #[test]

@@ -22,7 +22,6 @@ use crate::ast::{
     FunctionDef, Initializer, IntSize, StmtId, StmtKind, TypeName, TypeSpec,
 };
 use crate::intern::Symbol;
-use crate::token::{Token, TokenKind};
 
 /// FNV-1a 64-bit. Deliberately boring: stable across runs, platforms and
 /// toolchain updates, with no dependencies.
@@ -96,36 +95,6 @@ impl Default for StableHasher {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Hashes a preprocessed token stream, excluding spans and layout trivia.
-///
-/// Two streams hash equal exactly when their token payloads match in
-/// order — whitespace, comments (other than semantic `/*@...@*/`
-/// annotations, which are tokens) and source positions are invisible, so
-/// edits *above* a region do not change the region's hash.
-pub fn token_stream_hash(tokens: &[Token]) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_u64(tokens.len() as u64);
-    for t in tokens {
-        // The discriminant byte keeps `Ident("int")` and `Kw(Int)` apart
-        // even where their renderings collide.
-        let tag: u8 = match &t.kind {
-            TokenKind::Ident(_) => 0,
-            TokenKind::Kw(_) => 1,
-            TokenKind::Int(_) => 2,
-            TokenKind::Float(_) => 3,
-            TokenKind::Char(_) => 4,
-            TokenKind::Str(_) => 5,
-            TokenKind::Punct(_) => 6,
-            TokenKind::Annot(_) => 7,
-            TokenKind::HeaderName(_) => 8,
-            TokenKind::Eof => 9,
-        };
-        h.write_u8(tag);
-        h.write_str(&t.kind.to_string());
-    }
-    h.finish()
 }
 
 /// Hashes one function definition structurally: a direct walk over the flat
@@ -548,13 +517,7 @@ impl AstHasher<'_> {
 mod tests {
     use super::*;
     use crate::ast::Item;
-    use crate::lexer::Lexer;
     use crate::parse_translation_unit;
-    use crate::span::FileId;
-
-    fn tokens(src: &str) -> Vec<Token> {
-        Lexer::tokenize(src, FileId(0)).expect("lexes").0
-    }
 
     #[test]
     fn fnv_vector() {
@@ -567,22 +530,6 @@ mod tests {
             h.finish(),
             (0xcbf2_9ce4_8422_2325_u64 ^ b'a' as u64).wrapping_mul(0x100_0000_01b3)
         );
-    }
-
-    #[test]
-    fn token_hash_ignores_layout_but_not_content() {
-        let a = tokens("int x = 1;");
-        let b = tokens("\n\n  int   x /* c */ =\n 1;");
-        let c = tokens("int x = 2;");
-        assert_eq!(token_stream_hash(&a), token_stream_hash(&b));
-        assert_ne!(token_stream_hash(&a), token_stream_hash(&c));
-    }
-
-    #[test]
-    fn token_hash_sees_annotations() {
-        let a = tokens("char *p;");
-        let b = tokens("/*@null@*/ char *p;");
-        assert_ne!(token_stream_hash(&a), token_stream_hash(&b));
     }
 
     fn only_fn_hash(src: &str) -> u64 {

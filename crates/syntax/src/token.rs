@@ -1,5 +1,11 @@
 //! Tokens produced by the lexer and consumed by the preprocessor and parser.
+//!
+//! A [`Token`] is a `Copy` value of at most 32 bytes: every piece of token
+//! text (identifiers, string literals, header names, annotation words) is
+//! interned once by the lexer, so the preprocessor and parser move tokens
+//! around without allocating or hashing their text again.
 
+use crate::intern::Symbol;
 use crate::span::Span;
 use std::fmt;
 
@@ -264,10 +270,10 @@ impl Punct {
 }
 
 /// The payload of a token.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TokenKind {
     /// An identifier (not a keyword).
-    Ident(String),
+    Ident(Symbol),
     /// A C keyword.
     Kw(Keyword),
     /// Integer literal with its parsed value.
@@ -277,17 +283,18 @@ pub enum TokenKind {
     /// Character literal (value of the character).
     Char(i64),
     /// String literal (unescaped contents).
-    Str(String),
+    Str(Symbol),
     /// Punctuation or operator.
     Punct(Punct),
     /// A stylized annotation comment `/*@ ... @*/`.
     ///
-    /// The payload is the list of whitespace-separated words inside the
-    /// comment, e.g. `["null", "out", "only"]`.
-    Annot(Vec<String>),
+    /// The payload is the comment's whitespace-separated words joined by
+    /// single spaces, e.g. `"null out only"`; split it with
+    /// `as_str().split(' ')`.
+    Annot(Symbol),
     /// Header name from an `#include <...>` directive (angle form only;
     /// quoted includes lex as [`TokenKind::Str`]).
-    HeaderName(String),
+    HeaderName(Symbol),
     /// End of input.
     Eof,
 }
@@ -303,9 +310,9 @@ impl TokenKind {
         matches!(self, TokenKind::Kw(q) if *q == k)
     }
 
-    /// Identifier text, if this is an identifier.
-    pub fn ident(&self) -> Option<&str> {
-        match self {
+    /// The identifier, if this is one.
+    pub fn ident(&self) -> Option<Symbol> {
+        match *self {
             TokenKind::Ident(s) => Some(s),
             _ => None,
         }
@@ -326,9 +333,9 @@ impl fmt::Display for TokenKind {
                     write!(f, "'\\x{c:x}'")
                 }
             }
-            TokenKind::Str(s) => write!(f, "\"{}\"", s.escape_default()),
+            TokenKind::Str(s) => write!(f, "\"{}\"", s.as_str().escape_default()),
             TokenKind::Punct(p) => write!(f, "{}", p.as_str()),
-            TokenKind::Annot(words) => write!(f, "/*@{}@*/", words.join(" ")),
+            TokenKind::Annot(words) => write!(f, "/*@{words}@*/"),
             TokenKind::HeaderName(h) => write!(f, "<{h}>"),
             TokenKind::Eof => write!(f, "<eof>"),
         }
@@ -337,7 +344,7 @@ impl fmt::Display for TokenKind {
 
 /// A lexed token: payload, source span, and layout facts used by the
 /// preprocessor (directive recognition needs to know about line starts).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Token {
     /// The token payload.
     pub kind: TokenKind,
@@ -348,6 +355,10 @@ pub struct Token {
     /// True when whitespace precedes this token.
     pub leading_space: bool,
 }
+
+// Tokens are copied freely through the preprocessor and parser; keep them
+// within half a cache line.
+const _: () = assert!(std::mem::size_of::<Token>() <= 32);
 
 impl Token {
     /// Creates a token with default layout flags.
@@ -379,10 +390,8 @@ mod tests {
         assert_eq!(TokenKind::Punct(Punct::Arrow).to_string(), "->");
         assert_eq!(TokenKind::Ident("x".into()).to_string(), "x");
         assert_eq!(TokenKind::Str("a\nb".into()).to_string(), "\"a\\nb\"");
-        assert_eq!(
-            TokenKind::Annot(vec!["null".into(), "only".into()]).to_string(),
-            "/*@null only@*/"
-        );
+        assert_eq!(TokenKind::Annot("null only".into()).to_string(), "/*@null only@*/");
+        assert_eq!(TokenKind::HeaderName("stdio.h".into()).to_string(), "<stdio.h>");
     }
 
     #[test]
@@ -390,7 +399,7 @@ mod tests {
         assert!(TokenKind::Punct(Punct::Semi).is_punct(Punct::Semi));
         assert!(!TokenKind::Punct(Punct::Semi).is_punct(Punct::Comma));
         assert!(TokenKind::Kw(Keyword::If).is_kw(Keyword::If));
-        assert_eq!(TokenKind::Ident("ab".into()).ident(), Some("ab"));
+        assert_eq!(TokenKind::Ident("ab".into()).ident(), Some(Symbol::intern("ab")));
         assert_eq!(TokenKind::Int(3).ident(), None);
     }
 }
